@@ -335,11 +335,12 @@ impl<R: Recorder> Interp<'_, '_, R> {
 
     /// One-way wire latency of the src → dst route in nanoseconds.
     fn route_latency(&self, src: Rank, dst: Rank) -> f64 {
+        let mut latency_ns = 0;
         self.topo
-            .route(self.hosts[src], self.hosts[dst])
-            .iter()
-            .map(|tx| self.topo.tx_params[tx.index()].latency_ns)
-            .sum::<u64>() as f64
+            .for_each_hop(self.hosts[src], self.hosts[dst], |tx| {
+                latency_ns += self.topo.tx_params[tx.index()].latency_ns;
+            });
+        latency_ns as f64
     }
 
     fn issue_current_op(&mut self, rank: Rank, now_ns: f64) {

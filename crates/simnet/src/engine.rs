@@ -408,8 +408,8 @@ impl<R: Recorder> Simulator<R> {
     /// MPI layer handles them locally).
     pub fn open_connection(&mut self, src: HostId, dst: HostId, kind: TransportKind) -> ConnId {
         let id = ConnId::from_index(self.conn_hot.len());
-        let fwd = self.topo.route_id(src, dst);
-        let rev = self.topo.route_id(dst, src);
+        let fwd = self.topo.intern_route(src, dst);
+        let rev = self.topo.intern_route(dst, src);
         self.conn_lanes
             .push((self.queue.alloc_lane(), self.queue.alloc_lane()));
         // Flow table rows in PackedPacket::flow_index order: forward

@@ -270,12 +270,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// no fluid and must be completed by the caller directly).
     pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) {
         assert!(bytes > 0, "empty fluid flow");
-        let route = self.topo.route(src, dst);
         let span_start = self.slot_arena.len() as u32;
-        for tx in route {
-            let slot = self.topo.tx_params[tx.index()].serializer;
-            self.slot_arena.push(slot);
-        }
+        let (topo, slots) = (self.topo, &mut self.slot_arena);
+        topo.for_each_hop(src, dst, |tx| {
+            slots.push(topo.tx_params[tx.index()].serializer)
+        });
         // A flow crossing the same slot twice (a half-duplex bus at both
         // endpoints, say) must not double-count its demand.
         let span = &mut self.slot_arena[span_start as usize..];

@@ -71,7 +71,9 @@ id_type!(
     "conn"
 );
 id_type!(
-    /// An interned route: a handle into the topology's flat route arena.
+    /// An interned route: a handle into the topology's flat route arena,
+    /// issued by [`Topology::intern_route`](crate::topology::Topology::intern_route)
+    /// when a connection opens.
     /// Packets do not carry it — a packet's route is a pure function of its
     /// flow (`conn·2 + direction`), resolved through the engine's flat
     /// `flow → RouteId` table — so advancing a hop is two flat-array

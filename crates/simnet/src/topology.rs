@@ -6,15 +6,21 @@
 //! buffer pool (the sending host's NIC buffer, or the sending switch's
 //! shared memory).
 //!
-//! Routing is computed once at build time: shortest path by hop count.
-//! Equal-cost choices are resolved by the builder's [`RoutingPolicy`]:
-//! deterministic per-flow ECMP hashing by default (parallel uplinks and
-//! fat-tree cores load-balance the way switch hashing would), or
-//! dimension-ordered (e-cube) selection for mesh/torus fabrics whose
-//! generators supply per-switch coordinates.
+//! Routing is shortest path by hop count, resolved on demand: building a
+//! topology computes no routes, only the transmitters, pools and a compact
+//! adjacency. The first route towards a destination runs one BFS from
+//! that destination's *anchor* and memoizes the distances, so the cost
+//! scales with the host pairs a workload actually uses, not with
+//! `hosts²`. Equal-cost choices are resolved by the builder's
+//! [`RoutingPolicy`]: deterministic per-flow ECMP hashing by default
+//! (parallel uplinks and fat-tree cores load-balance the way switch
+//! hashing would), or dimension-ordered (e-cube) selection for mesh/torus
+//! fabrics whose generators supply per-switch coordinates.
 
 use crate::config::{LinkConfig, SimConfig, SwitchConfig};
 use crate::ids::{HostId, PoolId, RouteId, SwitchId, TxId};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// How the builder resolves equal-cost next-hop choices when several
 /// shortest paths exist.
@@ -104,10 +110,12 @@ struct RouteSpan {
 
 /// The built network fabric handed to the engine.
 ///
-/// Routes are *interned*: every host-pair path lives in one flat `TxId`
-/// arena and is addressed by a [`RouteId`]. Packets carry the handle, so
-/// the per-hop cost in the engine is a single slice index — no `Arc`
-/// clone, no `src·n_hosts + dst` table lookup.
+/// Routes are resolved on demand: [`Topology::route`] and
+/// [`Topology::for_each_hop`] walk one on every call, and the packet
+/// engine *interns* the routes of the connections it opens with
+/// [`Topology::intern_route`]. An interned route lives in one flat `TxId`
+/// arena and is addressed by a [`RouteId`]; packets carry the handle, so
+/// the per-hop cost in the engine is a single slice index.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Number of hosts.
@@ -118,23 +126,57 @@ pub struct Topology {
     pub pool_capacity: Vec<u64>,
     /// Number of serialization slots (see [`TxParams::serializer`]).
     pub n_serializers: usize,
-    /// All routes' hops, back to back.
+    /// Node `u`'s outgoing transmitters and the nodes they reach are
+    /// `adjacency[adj_start[u]..adj_start[u + 1]]`, in link-creation order.
+    /// Nodes are hosts, then switches, then I/O-bus stages.
+    adj_start: Vec<usize>,
+    adjacency: Vec<(TxId, usize)>,
+    routing: RoutingPolicy,
+    /// Per-switch coordinates for dimension-ordered routing (empty
+    /// unless a mesh/torus generator supplied them).
+    switch_coords: Vec<[u16; 3]>,
+    /// Per node: BFS hop distances from it to every node, computed the
+    /// first time a route towards that node (as an anchor) is walked.
+    distances: Vec<OnceLock<Box<[u32]>>>,
+    /// Interned routes' hops, back to back.
     route_arena: Vec<TxId>,
     /// Arena spans, indexed by [`RouteId`].
     route_spans: Vec<RouteSpan>,
-    /// `src·n_hosts + dst` → route id (`u32::MAX` on the diagonal).
-    route_ids: Vec<u32>,
+    /// `src·n_hosts + dst` → interned route.
+    interned: HashMap<u64, RouteId>,
 }
 
 impl Topology {
-    /// The interned handle of the route from `src` to `dst`. Resolved once
-    /// when a connection opens; packets then carry the handle.
+    /// Interns the route from `src` to `dst` into the route arena (once
+    /// per pair; later calls return the same handle) and returns its
+    /// handle. The engine calls this when a connection opens; packets
+    /// then carry the handle.
     ///
     /// # Panics
-    /// Panics if `src == dst`; self-routes do not exist.
-    pub fn route_id(&self, src: HostId, dst: HostId) -> RouteId {
-        assert_ne!(src, dst, "no route from a host to itself");
-        RouteId::from_index(self.route_ids[src.index() * self.n_hosts + dst.index()] as usize)
+    /// Panics if `src == dst`, or if the arena outgrows `u32` offsets.
+    pub fn intern_route(&mut self, src: HostId, dst: HostId) -> RouteId {
+        let key = src.index() as u64 * self.n_hosts as u64 + dst.index() as u64;
+        if let Some(&id) = self.interned.get(&key) {
+            return id;
+        }
+        let hops = self.route(src, dst);
+        let offset = |n: usize| u32::try_from(n).expect("route arena outgrew u32 offsets");
+        let start = offset(self.route_arena.len());
+        self.route_arena.extend_from_slice(&hops);
+        let end = offset(self.route_arena.len());
+        let id = RouteId::from_index(self.route_spans.len());
+        self.route_spans.push(RouteSpan {
+            start,
+            len: end - start,
+            dst,
+        });
+        self.interned.insert(key, id);
+        id
+    }
+
+    /// Number of routes interned so far.
+    pub fn interned_routes(&self) -> usize {
+        self.route_spans.len()
     }
 
     /// The hops of an interned route.
@@ -160,13 +202,122 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `src == dst`; self-routes do not exist.
-    pub fn route(&self, src: HostId, dst: HostId) -> &[TxId] {
-        self.route_slice(self.route_id(src, dst))
+    pub fn route(&self, src: HostId, dst: HostId) -> Vec<TxId> {
+        let mut hops = Vec::new();
+        self.for_each_hop(src, dst, |tx| hops.push(tx));
+        hops
     }
 
     /// Number of hops (transmitters) between two hosts.
     pub fn hop_count(&self, src: HostId, dst: HostId) -> usize {
-        self.route(src, dst).len()
+        let mut hops = 0;
+        self.for_each_hop(src, dst, |_| hops += 1);
+        hops
+    }
+
+    /// Calls `visit` with each transmitter of the route from `src` to
+    /// `dst`, in order, without allocating. The route is the greedy walk
+    /// down the BFS distance gradient towards `dst`, with ties broken by
+    /// the [`RoutingPolicy`].
+    ///
+    /// # Panics
+    /// Panics if `src == dst`; self-routes do not exist.
+    pub fn for_each_hop(&self, src: HostId, dst: HostId, mut visit: impl FnMut(TxId)) {
+        assert_ne!(src, dst, "no route from a host to itself");
+        let (src, dst) = (src.index(), dst.index());
+        let to_dst = self.distances_to(dst);
+        let mut at = src;
+        while at != dst {
+            let here = to_dst(at);
+            let out = self.out_edges(at);
+            let minimal = || out.iter().filter(move |&&(_, v)| to_dst(v) + 1 == here);
+            let &(tx, next) = match self.dor_pick(at, minimal()) {
+                Some(pick) => pick,
+                None => {
+                    // ECMP-style deterministic spreading over equal-cost
+                    // next hops and parallel links.
+                    let count = minimal().count() as u64;
+                    debug_assert!(count > 0, "BFS guarantees progress");
+                    let h = fxhash(src as u64, dst as u64, at as u64);
+                    minimal()
+                        .nth((h % count) as usize)
+                        .expect("the pick is below the candidate count")
+                }
+            };
+            visit(tx);
+            at = next;
+        }
+    }
+
+    /// Dimension-ordered choice among the minimal next hops out of `at`,
+    /// or `None` when the policy or the node's lack of coordinates leaves
+    /// the choice to ECMP hashing.
+    fn dor_pick<'a>(
+        &self,
+        at: usize,
+        minimal: impl Iterator<Item = &'a (TxId, usize)>,
+    ) -> Option<&'a (TxId, usize)> {
+        if self.routing != RoutingPolicy::DimensionOrdered {
+            return None;
+        }
+        let a = self.coord_of(at)?;
+        // Correct the lowest mismatched dimension first (BFS already
+        // restricted the candidates to minimal moves); creation order
+        // breaks exact-midpoint wrap ties. Hops off the coordinate grid
+        // (the final descent into a host) sort after every real dimension.
+        minimal.min_by_key(|&&(tx, v)| {
+            let dim = match self.coord_of(v) {
+                Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
+                None => 3,
+            };
+            (dim, tx.index())
+        })
+    }
+
+    /// Coordinate of a node, if it is a switch with one.
+    fn coord_of(&self, node: usize) -> Option<[u16; 3]> {
+        let switch = node.checked_sub(self.n_hosts)?;
+        self.switch_coords.get(switch).copied()
+    }
+
+    fn out_edges(&self, node: usize) -> &[(TxId, usize)] {
+        &self.adjacency[self.adj_start[node]..self.adj_start[node + 1]]
+    }
+
+    /// Hop distances from every node to host `dst`. A host with exactly
+    /// one link is never a transit node, so every other node is exactly
+    /// one hop farther from it than from that link's far end: the
+    /// neighbour is its *anchor*, and all hosts behind one switch share a
+    /// single memoized BFS. Any other host anchors itself.
+    fn distances_to(&self, dst: usize) -> impl Fn(usize) -> u32 + Copy + '_ {
+        let (anchor, offset) = match self.out_edges(dst) {
+            &[(_, only)] => (only, 1),
+            _ => (dst, 0),
+        };
+        let from_anchor = self.distances[anchor].get_or_init(|| self.bfs(anchor));
+        move |node| {
+            if node == dst {
+                0
+            } else {
+                from_anchor[node] + offset
+            }
+        }
+    }
+
+    /// Hop distances from `from` to every node (`u32::MAX` if unreachable).
+    fn bfs(&self, from: usize) -> Box<[u32]> {
+        let mut dist = vec![u32::MAX; self.distances.len()];
+        dist[from] = 0;
+        let mut queue = std::collections::VecDeque::from([from]);
+        while let Some(u) = queue.pop_front() {
+            for &(_, v) in self.out_edges(u) {
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist.into_boxed_slice()
     }
 }
 
@@ -278,8 +429,8 @@ impl TopologyBuilder {
         });
     }
 
-    /// Builds the fabric: creates transmitters and pools, verifies
-    /// connectivity, and computes all host-pair routes.
+    /// Builds the fabric: creates transmitters and pools and verifies
+    /// connectivity. Routes are resolved later, on demand.
     pub fn build(self, _sim: &SimConfig) -> Result<Topology, TopologyError> {
         if self.hosts == 0 {
             return Err(TopologyError::Empty);
@@ -408,101 +559,36 @@ impl TopologyBuilder {
                 "dimension-ordered routing needs one coordinate per switch"
             );
         }
-        // Coordinate of a node, if it is a switch with one.
-        let coord_of = |n: usize| -> Option<[u16; 3]> {
-            (n >= n_hosts && n < n_hosts + n_switches)
-                .then(|| self.switch_coords.get(n - n_hosts).copied())
-                .flatten()
-        };
-
-        // BFS distance-to-destination per destination host, then greedy
-        // next-hop walks with hashed tie-breaking. Routes intern into one
-        // flat arena so the engine can address them by `RouteId`.
-        let mut route_arena: Vec<TxId> = Vec::new();
-        let mut route_spans: Vec<RouteSpan> = Vec::with_capacity(n_hosts * (n_hosts - 1));
-        let mut route_ids: Vec<u32> = vec![u32::MAX; n_hosts * n_hosts];
-        let mut dist = vec![u32::MAX; n_nodes];
-        let mut queue = std::collections::VecDeque::new();
-        for dst in 0..n_hosts {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[dst] = 0;
-            queue.clear();
-            queue.push_back(dst);
-            while let Some(u) = queue.pop_front() {
-                for &(_, v) in &adjacency[u] {
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            for src in 0..n_hosts {
-                if src == dst {
-                    continue;
-                }
-                if dist[src] == u32::MAX {
-                    return Err(TopologyError::Unreachable(
-                        HostId::from_index(src),
-                        HostId::from_index(dst),
-                    ));
-                }
-                let start = route_arena.len() as u32;
-                let mut at = src;
-                while at != dst {
-                    let candidates: Vec<&(TxId, usize)> = adjacency[at]
-                        .iter()
-                        .filter(|&&(_, v)| dist[v] + 1 == dist[at])
-                        .collect();
-                    debug_assert!(!candidates.is_empty(), "BFS guarantees progress");
-                    let dor_pick = || -> Option<&(TxId, usize)> {
-                        if self.routing != RoutingPolicy::DimensionOrdered {
-                            return None;
-                        }
-                        let a = coord_of(at)?;
-                        // Correct the lowest mismatched dimension first
-                        // (BFS already restricted candidates to minimal
-                        // moves); creation order breaks exact-midpoint
-                        // wrap ties. Hops off the coordinate grid (the
-                        // final descent into a host) sort after every
-                        // real dimension.
-                        candidates.iter().copied().min_by_key(|&&(tx, v)| {
-                            let dim = match coord_of(v) {
-                                Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
-                                None => 3,
-                            };
-                            (dim, tx.index())
-                        })
-                    };
-                    let &(tx, next) = match dor_pick() {
-                        Some(pick) => pick,
-                        None => {
-                            // ECMP-style deterministic spreading over
-                            // equal-cost next hops and parallel links.
-                            let h = fxhash(src as u64, dst as u64, at as u64);
-                            candidates[(h % candidates.len() as u64) as usize]
-                        }
-                    };
-                    route_arena.push(tx);
-                    at = next;
-                }
-                route_ids[src * n_hosts + dst] = route_spans.len() as u32;
-                route_spans.push(RouteSpan {
-                    start,
-                    len: route_arena.len() as u32 - start,
-                    dst: HostId::from_index(dst),
-                });
-            }
-        }
-
-        Ok(Topology {
+        let adj_start: Vec<usize> = std::iter::once(0)
+            .chain(adjacency.iter().scan(0, |end, adj| {
+                *end += adj.len();
+                Some(*end)
+            }))
+            .collect();
+        let topo = Topology {
             n_hosts,
             tx_params,
             pool_capacity,
             n_serializers,
-            route_arena,
-            route_spans,
-            route_ids,
-        })
+            adj_start,
+            adjacency: adjacency.concat(),
+            routing: self.routing,
+            switch_coords: self.switch_coords,
+            distances: (0..n_nodes).map(|_| OnceLock::new()).collect(),
+            route_arena: Vec::new(),
+            route_spans: Vec::new(),
+            interned: HashMap::new(),
+        };
+        // Links are full duplex, so one BFS from host 0 settles whether
+        // every host pair is connected.
+        let from_host0 = topo.bfs(0);
+        if let Some(h) = (1..n_hosts).find(|&h| from_host0[h] == u32::MAX) {
+            return Err(TopologyError::Unreachable(
+                HostId::from_index(h),
+                HostId::from_index(0),
+            ));
+        }
+        Ok(topo)
     }
 }
 
