@@ -33,75 +33,55 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
             hot_ranks, factor, ..
         } => {
             let hot = (*factor * m as f64).round().max(1.0) as u64;
-            let sizes = (0..n)
-                .map(|i| {
+            Some(ExchangeMatrix::from_blocks(
+                n,
+                (0..n).flat_map(|i| {
                     let row_m = if i < *hot_ranks { hot } else { m };
-                    (0..n).map(|j| if i == j { 0 } else { row_m }).collect()
-                })
-                .collect();
-            Some(ExchangeMatrix::new(sizes))
+                    (0..n).map(move |j| (i, j, row_m))
+                }),
+            ))
         }
         WorkloadSpec::Sparse { density, .. } => {
+            // Draws run row-major over the off-diagonal pairs.
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-            let mut sizes: Vec<Vec<u64>> = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| {
-                            if i != j && rng.gen_bool(*density) {
-                                m
-                            } else {
-                                0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            // Keep every rank participating so no program is empty: give
-            // rank i a guaranteed message to its right neighbour.
-            for (i, row) in sizes.iter_mut().enumerate() {
-                let j = (i + 1) % n;
-                if row[j] == 0 {
-                    row[j] = m;
+            let mut blocks = Vec::new();
+            for i in 0..n {
+                // Keep every rank participating so no program is empty:
+                // give rank i a guaranteed message to its right neighbour.
+                let right = (i + 1) % n;
+                let row = blocks.len();
+                let mut has_right = false;
+                for j in 0..n {
+                    if i != j && rng.gen_bool(*density) {
+                        has_right |= j == right;
+                        blocks.push((i, j, m));
+                    }
+                }
+                if !has_right {
+                    let at = row + blocks[row..].partition_point(|b| b.1 < right);
+                    blocks.insert(at, (i, right, m));
                 }
             }
-            Some(ExchangeMatrix::new(sizes))
+            Some(ExchangeMatrix::from_blocks(n, blocks))
         }
         WorkloadSpec::Permutation => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x0EE7_ABCD);
             let perm = derangement(n, &mut rng);
-            let sizes = (0..n)
-                .map(|i| (0..n).map(|j| if perm[i] == j { m } else { 0 }).collect())
-                .collect();
-            Some(ExchangeMatrix::new(sizes))
+            Some(ExchangeMatrix::from_blocks(
+                n,
+                perm.iter().enumerate().map(|(i, &j)| (i, j, m)),
+            ))
         }
-        WorkloadSpec::Incast { receivers } => {
-            let sizes = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| {
-                            // Senders are the non-sink ranks; each sends to
-                            // one sink, round-robin.
-                            if i >= *receivers && j == (i - receivers) % *receivers {
-                                m
-                            } else {
-                                0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            Some(ExchangeMatrix::new(sizes))
-        }
-        WorkloadSpec::Outcast { senders } => {
-            let sizes = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| if i < *senders && j != i { m } else { 0 })
-                        .collect()
-                })
-                .collect();
-            Some(ExchangeMatrix::new(sizes))
-        }
+        // Senders are the non-sink ranks; each sends to one sink,
+        // round-robin.
+        WorkloadSpec::Incast { receivers } => Some(ExchangeMatrix::from_blocks(
+            n,
+            (*receivers..n).map(|i| (i, (i - receivers) % receivers, m)),
+        )),
+        WorkloadSpec::Outcast { senders } => Some(ExchangeMatrix::from_blocks(
+            n,
+            (0..(*senders).min(n)).flat_map(|i| (0..n).map(move |j| (i, j, m))),
+        )),
     }
 }
 
@@ -187,13 +167,8 @@ pub fn model_bound(w: &WorkloadSpec, n: usize, m: u64, seed: u64, params: &Hockn
         matrixy => {
             let matrix = phase_matrix(matrixy, n, m, seed).expect("matrix-shaped phase");
             let mut med = Med::new(n);
-            for i in 0..n {
-                for j in 0..n {
-                    let b = matrix.bytes(i, j);
-                    if b > 0 {
-                        med.add_message(i, j, b);
-                    }
-                }
+            for (i, j, b) in matrix.blocks() {
+                med.add_message(i, j, b);
             }
             med.time_lower_bound(params)
         }
@@ -247,6 +222,64 @@ mod tests {
             let progs = programs(w, 6, 10_000, 42);
             assert_eq!(progs.len(), 6, "{}", w.kind());
             check_balanced(&progs);
+        }
+    }
+
+    /// The `n × n` matrices the patterns were first built as, with the
+    /// same seeds and the same row-major RNG draws.
+    fn dense_reference(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
+        let mut sizes = vec![vec![0; n]; n];
+        match w {
+            WorkloadSpec::Sparse { density, .. } => {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
+                for (i, row) in sizes.iter_mut().enumerate() {
+                    for (j, b) in row.iter_mut().enumerate() {
+                        if i != j && rng.gen_bool(*density) {
+                            *b = m;
+                        }
+                    }
+                }
+                for (i, row) in sizes.iter_mut().enumerate() {
+                    row[(i + 1) % n] = m;
+                }
+            }
+            WorkloadSpec::Permutation => {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x0EE7_ABCD);
+                for (i, j) in derangement(n, &mut rng).into_iter().enumerate() {
+                    sizes[i][j] = m;
+                }
+            }
+            WorkloadSpec::Incast { receivers } => {
+                for (i, row) in sizes.iter_mut().enumerate().skip(*receivers) {
+                    row[(i - receivers) % receivers] = m;
+                }
+            }
+            _ => unreachable!("not a sparse pattern"),
+        }
+        sizes
+    }
+
+    #[test]
+    fn sparse_patterns_match_their_dense_construction() {
+        for n in [2, 3, 7, 16] {
+            for seed in [0, 5, 42] {
+                for w in [
+                    WorkloadSpec::Sparse {
+                        density: 0.3,
+                        nonblocking: false,
+                    },
+                    WorkloadSpec::Sparse {
+                        density: 0.0,
+                        nonblocking: true,
+                    },
+                    WorkloadSpec::Permutation,
+                    WorkloadSpec::Incast { receivers: 1 },
+                ] {
+                    let want = ExchangeMatrix::new(dense_reference(&w, n, 100, seed));
+                    let got = phase_matrix(&w, n, 100, seed).unwrap();
+                    assert_eq!(got, want, "{} n={n} seed={seed}", w.kind());
+                }
+            }
         }
     }
 

@@ -66,3 +66,39 @@ fn huge_tree_builds_and_routes_only_what_it_uses() {
     let hops = topo.hop_count(hosts[0], hosts[1]);
     assert!(hops == 2 || hops == 4, "leaf-local or via the core: {hops}");
 }
+
+/// A permutation over 65 536 ranks is 65 536 messages. Its programs and
+/// its MED bound must cost that much, not the `ranks²` blocks of a dense
+/// matrix (32 GiB of `u64` at this size).
+#[test]
+fn huge_permutation_builds_programs_and_bound_from_its_messages_only() {
+    use contention_model::hockney::HockneyParams;
+    use contention_scenario::spec::WorkloadSpec;
+    use contention_scenario::workload;
+    use simmpi::Op;
+    use std::time::{Duration, Instant};
+
+    let (n, m, seed) = (65_536, 4096, 11);
+    let started = Instant::now();
+    let programs = workload::programs(&WorkloadSpec::Permutation, n, m, seed);
+    assert_eq!(programs.len(), n);
+    for (rank, program) in programs.iter().enumerate() {
+        let [Op::Transfer { sends, recvs }] = program.as_slice() else {
+            panic!("rank {rank}: expected one transfer, got {program:?}");
+        };
+        assert_eq!(sends.len(), 1, "rank {rank} sends once");
+        assert_ne!(sends[0].0, rank, "rank {rank} sends to itself");
+        assert_eq!(recvs.len(), 1, "rank {rank} receives once");
+    }
+    let params = HockneyParams::new(50e-6, 8e-9);
+    let bound = workload::model_bound(&WorkloadSpec::Permutation, n, m, seed, &params);
+    // One message out and one in per rank: Claim 3 is one start-up plus
+    // one block's transfer.
+    let expected = 50e-6 + m as f64 * 8e-9;
+    assert!((bound - expected).abs() < 1e-12, "{bound} vs {expected}");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "65 536-rank permutation took {elapsed:?}"
+    );
+}

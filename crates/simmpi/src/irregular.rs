@@ -8,107 +8,187 @@
 
 use crate::ops::{Op, Rank};
 
-/// A per-pair payload matrix: `matrix[i][j]` bytes flow from rank `i` to
-/// rank `j`. Zero entries mean no message; the diagonal is ignored.
+/// A per-pair payload matrix: `bytes(i, j)` flow from rank `i` to rank
+/// `j`. Only the non-zero off-diagonal blocks are stored, row by row in
+/// ascending column order, so a permutation over `n` ranks costs `O(n)`
+/// memory, not `O(n²)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeMatrix {
-    sizes: Vec<Vec<u64>>,
+    n: usize,
+    /// Row `i`'s blocks are `cols[row_start[i]..row_start[i + 1]]`.
+    row_start: Vec<usize>,
+    cols: Vec<u32>,
+    sizes: Vec<u64>,
 }
 
 impl ExchangeMatrix {
-    /// Builds a matrix, validating squareness.
+    /// Builds a matrix from dense rows, validating squareness. Zero
+    /// entries mean no message; the diagonal is ignored.
     ///
     /// # Panics
     /// Panics if the matrix is not square or is empty.
     pub fn new(sizes: Vec<Vec<u64>>) -> Self {
         let n = sizes.len();
-        assert!(n > 0, "empty exchange matrix");
         assert!(
             sizes.iter().all(|row| row.len() == n),
             "exchange matrix must be square"
         );
-        Self { sizes }
+        Self::from_blocks(
+            n,
+            sizes
+                .iter()
+                .enumerate()
+                .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, &b)| (i, j, b))),
+        )
+    }
+
+    /// Builds a matrix over `n` ranks from `(src, dst, bytes)` blocks in
+    /// row-major order (strictly increasing `(src, dst)`). Zero-byte and
+    /// diagonal blocks are dropped.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero or exceeds `u32::MAX`, or if a block is out of
+    /// range or out of order.
+    pub fn from_blocks(n: usize, blocks: impl IntoIterator<Item = (Rank, Rank, u64)>) -> Self {
+        assert!(n > 0, "empty exchange matrix");
+        assert!(u32::try_from(n).is_ok(), "too many ranks: {n}");
+        let mut row_start = Vec::with_capacity(n + 1);
+        row_start.push(0);
+        let (mut cols, mut sizes) = (Vec::new(), Vec::new());
+        let mut last: Option<(Rank, Rank)> = None;
+        for (i, j, bytes) in blocks {
+            assert!(i < n && j < n, "block {i}->{j} out of range for {n} ranks");
+            assert!(
+                last.is_none_or(|prev| prev < (i, j)),
+                "blocks must be in row-major order: {i}->{j} after {last:?}"
+            );
+            last = Some((i, j));
+            if i == j || bytes == 0 {
+                continue;
+            }
+            while row_start.len() <= i {
+                row_start.push(cols.len());
+            }
+            cols.push(j as u32);
+            sizes.push(bytes);
+        }
+        row_start.resize(n + 1, cols.len());
+        Self {
+            n,
+            row_start,
+            cols,
+            sizes,
+        }
     }
 
     /// The uniform All-to-All as a degenerate case.
     pub fn uniform(n: usize, m: u64) -> Self {
-        let sizes = (0..n)
-            .map(|i| (0..n).map(|j| if i == j { 0 } else { m }).collect())
-            .collect();
-        Self::new(sizes)
+        Self::from_blocks(n, (0..n).flat_map(|i| (0..n).map(move |j| (i, j, m))))
     }
 
     /// Number of ranks.
     pub fn n(&self) -> usize {
-        self.sizes.len()
+        self.n
+    }
+
+    /// Row `i`'s non-zero blocks as `(dst, bytes)`, ascending in `dst`.
+    fn row(&self, i: Rank) -> impl Iterator<Item = (Rank, u64)> + Clone + '_ {
+        let span = self.row_start[i]..self.row_start[i + 1];
+        self.cols[span.clone()]
+            .iter()
+            .zip(&self.sizes[span])
+            .map(|(&j, &b)| (j as Rank, b))
+    }
+
+    /// Every non-zero block as `(src, dst, bytes)`, in row-major order.
+    pub fn blocks(&self) -> impl Iterator<Item = (Rank, Rank, u64)> + '_ {
+        (0..self.n).flat_map(move |i| self.row(i).map(move |(j, b)| (i, j, b)))
     }
 
     /// Payload from `i` to `j` (zero on the diagonal).
     pub fn bytes(&self, i: Rank, j: Rank) -> u64 {
-        if i == j {
-            0
-        } else {
-            self.sizes[i][j]
+        let span = self.row_start[i]..self.row_start[i + 1];
+        match self.cols[span.clone()].binary_search(&(j as u32)) {
+            Ok(k) => self.sizes[span.start + k],
+            Err(_) => 0,
         }
     }
 
     /// Total bytes rank `i` must send.
     pub fn send_volume(&self, i: Rank) -> u64 {
-        (0..self.n()).map(|j| self.bytes(i, j)).sum()
+        self.row(i).map(|(_, b)| b).sum()
     }
 
     /// Total bytes rank `j` must receive.
     pub fn recv_volume(&self, j: Rank) -> u64 {
-        (0..self.n()).map(|i| self.bytes(i, j)).sum()
+        self.blocks()
+            .filter(|&(_, to, _)| to == j)
+            .map(|(_, _, b)| b)
+            .sum()
+    }
+
+    /// Per rank, the ranks it receives from, ascending (the transpose's
+    /// rows, without their sizes).
+    fn senders(&self) -> Vec<Vec<Rank>> {
+        let mut senders = vec![Vec::new(); self.n];
+        for (i, j, _) in self.blocks() {
+            senders[j].push(i);
+        }
+        senders
     }
 
     /// Direct-exchange schedule with rotated destinations (Algorithm 1
     /// generalized): round `t`, rank `i` sends its block to `(i+t) mod n`
     /// if non-empty and receives from `(i−t) mod n` if that block exists.
+    /// Rounds with neither are skipped.
     pub fn direct_exchange_programs(&self) -> Vec<Vec<Op>> {
-        let n = self.n();
+        let n = self.n;
+        let senders = self.senders();
         (0..n)
             .map(|i| {
-                (1..n)
-                    .filter_map(|t| {
-                        let to = (i + t) % n;
-                        let from = (i + n - t) % n;
-                        let sends: Vec<(Rank, u64)> = if self.bytes(i, to) > 0 {
-                            vec![(to, self.bytes(i, to))]
-                        } else {
-                            vec![]
-                        };
-                        let recvs: Vec<Rank> = if self.bytes(from, i) > 0 {
-                            vec![from]
-                        } else {
-                            vec![]
-                        };
-                        if sends.is_empty() && recvs.is_empty() {
-                            None
-                        } else {
-                            Some(Op::Transfer { sends, recvs })
-                        }
-                    })
-                    .collect()
+                // Both lists come out ascending in the round `t`.
+                let mut sends = self
+                    .sends_from(i)
+                    .map(|(j, b)| ((j + n - i) % n, j, b))
+                    .peekable();
+                let mut recvs = recv_order(i, &senders[i])
+                    .map(|j| ((i + n - j) % n, j))
+                    .peekable();
+                let mut program = Vec::new();
+                loop {
+                    let t = match (sends.peek(), recvs.peek()) {
+                        (None, None) => break,
+                        (Some(s), None) => s.0,
+                        (None, Some(r)) => r.0,
+                        (Some(s), Some(r)) => s.0.min(r.0),
+                    };
+                    program.push(Op::Transfer {
+                        sends: sends
+                            .next_if(|s| s.0 == t)
+                            .map(|(_, j, b)| (j, b))
+                            .into_iter()
+                            .collect(),
+                        recvs: recvs
+                            .next_if(|r| r.0 == t)
+                            .map(|(_, j)| j)
+                            .into_iter()
+                            .collect(),
+                    });
+                }
+                program
             })
             .collect()
     }
 
     /// Post-everything nonblocking schedule (what `MPI_Alltoallv` over
-    /// isend/irecv does).
+    /// isend/irecv does): sends rotate up from `i+1`, receives rotate down
+    /// from `i−1`.
     pub fn nonblocking_programs(&self) -> Vec<Vec<Op>> {
-        let n = self.n();
-        (0..n)
+        let senders = self.senders();
+        (0..self.n)
             .map(|i| {
-                let sends: Vec<(Rank, u64)> = (1..n)
-                    .map(|t| (i + t) % n)
-                    .filter(|&j| self.bytes(i, j) > 0)
-                    .map(|j| (j, self.bytes(i, j)))
-                    .collect();
-                let recvs: Vec<Rank> = (1..n)
-                    .map(|t| (i + n - t) % n)
-                    .filter(|&j| self.bytes(j, i) > 0)
-                    .collect();
+                let sends: Vec<(Rank, u64)> = self.sends_from(i).collect();
+                let recvs: Vec<Rank> = recv_order(i, &senders[i]).collect();
                 if sends.is_empty() && recvs.is_empty() {
                     vec![]
                 } else {
@@ -117,6 +197,24 @@ impl ExchangeMatrix {
             })
             .collect()
     }
+
+    /// Rank `i`'s blocks in send order: destinations `i+1, i+2, …` mod `n`.
+    fn sends_from(&self, i: Rank) -> impl Iterator<Item = (Rank, u64)> + '_ {
+        let span = self.row_start[i]..self.row_start[i + 1];
+        let split = self.cols[span].partition_point(|&j| (j as Rank) < i);
+        let row = self.row(i);
+        row.clone().skip(split).chain(row.take(split))
+    }
+}
+
+/// Rank `i`'s sources (ascending) in receive order: `i−1, i−2, …` mod `n`.
+fn recv_order(i: Rank, sources: &[Rank]) -> impl Iterator<Item = Rank> + '_ {
+    let split = sources.partition_point(|&j| j < i);
+    sources[..split]
+        .iter()
+        .rev()
+        .chain(sources[split..].iter().rev())
+        .copied()
 }
 
 #[cfg(test)]

@@ -41,16 +41,21 @@
 //! the serializer slot with the smallest fair share `residual / unfrozen`,
 //! freeze every unfrozen flow crossing it at that share, subtract the
 //! frozen bandwidth, and continue until every flow is frozen. Per-slot
-//! flow lists (a CSR index rebuilt per recomputation) make each
-//! recomputation `O(total hops + bottleneck iterations × active slots)`,
-//! so the cost of a churn event scales with the traffic actually in
-//! flight, not with per-packet state.
+//! flow lists (a CSR index rebuilt per recomputation) and a lazy min-heap
+//! of slot shares (see `FluidSim::recompute_rates`) make each
+//! recomputation `O(slots + total hops · log slots)`, so the cost of a
+//! churn event scales with the traffic actually in flight, not with
+//! per-packet state or with bottleneck levels × active slots. Between
+//! recomputations each driver step projects every flow's finish instant
+//! once.
 
 use crate::guard::{GuardStop, RunGuard};
 use crate::ids::HostId;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use contention_obs::{NoopRecorder, Recorder};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Finished-flow tolerance: anything within a byte of done is done.
 const DONE_TOLERANCE_BYTES: f64 = 1.0;
@@ -101,6 +106,8 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// used to label recorder samples.
     slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
+    /// Per slot, the number of in-flight flows crossing it.
+    slot_flows: Vec<u32>,
     /// Backing store for flow slot lists (grows monotonically; spans of
     /// finished flows are not reclaimed, which is fine for the bounded
     /// programs the scenario layer runs).
@@ -127,9 +134,24 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     scratch_offsets: Vec<u32>,
     scratch_csr: Vec<u32>,
     scratch_frozen: Vec<bool>,
-    scratch_rate: Vec<f64>,
-    /// Per-flow projected finish instants (windowed stamping only).
+    /// Per-slot aggregate rate (recorder samples only).
+    scratch_slot_rate: Vec<f64>,
+    /// Bottleneck candidates as `(share bits, slot)`, smallest on top.
+    scratch_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per slot, the key of its latest heap entry.
+    scratch_key: Vec<f64>,
+    /// Flows frozen in the current bottleneck level.
+    scratch_level: Vec<u32>,
+    /// Slots whose share changed in the current bottleneck level.
+    scratch_touched: Vec<u32>,
+    scratch_is_touched: Vec<bool>,
+    /// Per-flow projected finish instants at the current rates and clock,
+    /// valid while `finish_valid` holds.
     scratch_finish: Vec<f64>,
+    /// Earliest entry of `scratch_finish` (infinite when no flow is in
+    /// flight).
+    next_finish: f64,
+    finish_valid: bool,
 }
 
 impl<'a> FluidSim<'a, NoopRecorder> {
@@ -158,6 +180,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             capacity,
             slot_tx,
             flows: Vec::new(),
+            slot_flows: vec![0; topo.n_serializers],
             slot_arena: Vec::new(),
             now_ns: 0.0,
             dirty: false,
@@ -174,8 +197,15 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             scratch_offsets: Vec::new(),
             scratch_csr: Vec::new(),
             scratch_frozen: Vec::new(),
-            scratch_rate: Vec::new(),
+            scratch_slot_rate: Vec::new(),
+            scratch_heap: BinaryHeap::new(),
+            scratch_key: Vec::new(),
+            scratch_level: Vec::new(),
+            scratch_touched: Vec::new(),
+            scratch_is_touched: Vec::new(),
             scratch_finish: Vec::new(),
+            next_finish: f64::INFINITY,
+            finish_valid: false,
         }
     }
 
@@ -213,8 +243,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 
     /// Number of full max-min rate recomputations performed so far — the
-    /// dominant cost of a fluid run (each is `O(total hops)`). Exposed so
-    /// benches and telemetry can report solver effort alongside wall time.
+    /// dominant cost of a fluid run (each is
+    /// `O(slots + total hops · log slots)`). Exposed so benches and
+    /// telemetry can report solver effort alongside wall time.
     pub fn recomputes(&self) -> u64 {
         self.recomputes
     }
@@ -287,6 +318,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             }
         }
         self.slot_arena.truncate(span_start as usize + unique);
+        for &s in &self.slot_arena[span_start as usize..] {
+            self.slot_flows[s as usize] += 1;
+        }
         self.flows.push(FlowState {
             span_start,
             span_len: unique as u32,
@@ -301,89 +335,143 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         flow.span_start as usize..(flow.span_start + flow.span_len) as usize
     }
 
-    /// Progressive filling in bottleneck-saturation order. `O(total hops)`
-    /// for freezing plus one active-slot scan per bottleneck level.
+    /// Progressive filling in bottleneck-saturation order.
+    ///
+    /// The bottleneck of each level is the active slot with the smallest
+    /// share `residual / count`, ties to the lowest slot index. A lazy
+    /// min-heap keyed by `(share, slot)` yields it without scanning every
+    /// active slot per level. Freezing a level's flows never lowers a
+    /// surviving slot's share in exact arithmetic, but in floats it can
+    /// dip by an ulp; so once per level each touched slot is pushed again
+    /// only if its share fell below its latest key, and a popped entry
+    /// whose slot's share has since risen is pushed back at the new share.
+    /// Every active slot thus always holds an entry at or below its share,
+    /// and an entry that pops at exactly its slot's share is the bottleneck.
+    /// Per-slot flow counts are kept current as flows start and finish, and
+    /// rates are written straight into the flows as they freeze.
+    /// Cost: `O(slots + total hops · log slots)` per recomputation.
     fn recompute_rates(&mut self) {
         self.recomputes += 1;
-        let n_slots = self.capacity.len();
-        self.scratch_residual.clone_from(&self.capacity);
-        self.scratch_count.clear();
-        self.scratch_count.resize(n_slots, 0);
-        for flow in &self.flows {
-            for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_count[s as usize] += 1;
-            }
-        }
-        // CSR: per-slot list of flow indices.
-        self.scratch_offsets.clear();
-        self.scratch_offsets.resize(n_slots + 1, 0);
+        let Self {
+            capacity,
+            flows,
+            slot_flows,
+            slot_arena,
+            scratch_residual: residual,
+            scratch_count: count,
+            scratch_offsets: offsets,
+            scratch_csr: csr,
+            scratch_frozen: frozen,
+            scratch_heap,
+            scratch_key: key,
+            scratch_level: level,
+            scratch_touched: touched,
+            scratch_is_touched: is_touched,
+            ..
+        } = self;
+        let n_slots = capacity.len();
+        residual.clone_from(capacity);
+        count.clone_from(slot_flows);
+        // CSR: per-slot list of flow indices in ascending flow order. The
+        // offsets start as each slot's end and are walked back while the
+        // flows are placed last to first, ending at each slot's start.
+        offsets.clear();
+        offsets.resize(n_slots + 1, 0);
+        let mut end = 0;
         for s in 0..n_slots {
-            self.scratch_offsets[s + 1] = self.scratch_offsets[s] + self.scratch_count[s];
+            end += count[s];
+            offsets[s] = end;
         }
-        let total = self.scratch_offsets[n_slots] as usize;
-        self.scratch_csr.clear();
-        self.scratch_csr.resize(total, 0);
-        let mut cursor: Vec<u32> = self.scratch_offsets[..n_slots].to_vec();
-        for (fi, flow) in self.flows.iter().enumerate() {
-            for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_csr[cursor[s as usize] as usize] = fi as u32;
-                cursor[s as usize] += 1;
+        offsets[n_slots] = end;
+        csr.clear();
+        csr.resize(end as usize, 0);
+        for (fi, flow) in flows.iter().enumerate().rev() {
+            for &s in &slot_arena[Self::flow_slots(flow)] {
+                offsets[s as usize] -= 1;
+                csr[offsets[s as usize] as usize] = fi as u32;
             }
         }
-        let active: Vec<u32> = (0..n_slots as u32)
-            .filter(|&s| self.scratch_count[s as usize] > 0)
-            .collect();
 
-        self.scratch_frozen.clear();
-        self.scratch_frozen.resize(self.flows.len(), false);
-        self.scratch_rate.clear();
-        self.scratch_rate.resize(self.flows.len(), 0.0);
-        let mut remaining_flows = self.flows.len();
-        while remaining_flows > 0 {
-            // Find the bottleneck slot: smallest fair share among slots
-            // still carrying unfrozen flows.
-            let mut best_share = f64::INFINITY;
-            let mut best_slot = usize::MAX;
-            for &s in &active {
-                let s = s as usize;
-                if self.scratch_count[s] > 0 {
-                    let share = self.scratch_residual[s] / self.scratch_count[s] as f64;
-                    if share < best_share {
-                        best_share = share;
-                        best_slot = s;
-                    }
-                }
+        key.clear();
+        key.resize(n_slots, f64::INFINITY);
+        let mut heap = std::mem::take(scratch_heap).into_vec();
+        heap.clear();
+        for s in 0..n_slots {
+            if count[s] > 0 {
+                key[s] = residual[s] / count[s] as f64;
+                heap.push(Reverse((key[s].to_bits(), s as u32)));
             }
-            assert!(best_slot != usize::MAX, "active flow without a bottleneck");
+        }
+        let mut heap = BinaryHeap::from(heap);
+        touched.clear();
+        is_touched.clear();
+        is_touched.resize(n_slots, false);
+        // Reserved up front so the freezing loop never reallocates.
+        level.clear();
+        level.reserve(flows.len());
+        frozen.clear();
+        frozen.resize(flows.len(), false);
+        let mut remaining_flows = flows.len();
+        while remaining_flows > 0 {
+            // Shares are non-negative, so their bit patterns order like
+            // the values themselves.
+            let Reverse((key_bits, slot)) = heap.pop().expect("active flow without a bottleneck");
+            let best_slot = slot as usize;
+            if count[best_slot] == 0 {
+                continue; // saturated at an earlier level
+            }
+            let best_share = residual[best_slot] / count[best_slot] as f64;
+            if best_share.to_bits() != key_bits {
+                key[best_slot] = best_share;
+                heap.push(Reverse((best_share.to_bits(), slot)));
+                continue;
+            }
             // Freeze every unfrozen flow crossing the bottleneck at the
             // bottleneck's fair share.
-            let (lo, hi) = (
-                self.scratch_offsets[best_slot] as usize,
-                self.scratch_offsets[best_slot + 1] as usize,
-            );
-            for idx in lo..hi {
-                let fi = self.scratch_csr[idx] as usize;
-                if self.scratch_frozen[fi] {
+            for &fi in &csr[offsets[best_slot] as usize..offsets[best_slot + 1] as usize] {
+                let fi = fi as usize;
+                if frozen[fi] {
                     continue;
                 }
-                self.scratch_frozen[fi] = true;
-                self.scratch_rate[fi] = best_share;
+                frozen[fi] = true;
                 remaining_flows -= 1;
-                let flow = self.flows[fi];
-                for &s in &self.slot_arena[Self::flow_slots(&flow)] {
+                let flow = &mut flows[fi];
+                flow.rate = best_share;
+                for &s in &slot_arena[Self::flow_slots(flow)] {
                     let s = s as usize;
-                    self.scratch_residual[s] -= best_share;
+                    residual[s] -= best_share;
                     // Numerical guard: residuals may dip epsilon-negative.
-                    if self.scratch_residual[s] < 0.0 {
-                        self.scratch_residual[s] = 0.0;
+                    if residual[s] < 0.0 {
+                        residual[s] = 0.0;
                     }
-                    self.scratch_count[s] -= 1;
+                    count[s] -= 1;
+                }
+                level.push(fi as u32);
+            }
+            // Collect the slots the level touched in a second pass over its
+            // flows, now in cache: a data-dependent branch in the loop above
+            // would stall on its cache misses.
+            for fi in level.drain(..) {
+                for &s in &slot_arena[Self::flow_slots(&flows[fi as usize])] {
+                    if !is_touched[s as usize] {
+                        is_touched[s as usize] = true;
+                        touched.push(s);
+                    }
+                }
+            }
+            for s in touched.drain(..) {
+                let s = s as usize;
+                is_touched[s] = false;
+                if count[s] > 0 {
+                    let share = residual[s] / count[s] as f64;
+                    if share < key[s] {
+                        key[s] = share;
+                        heap.push(Reverse((share.to_bits(), s as u32)));
+                    }
                 }
             }
         }
-        for (fi, flow) in self.flows.iter_mut().enumerate() {
-            flow.rate = self.scratch_rate[fi];
-        }
+        *scratch_heap = heap;
     }
 
     fn ensure_rates(&mut self) {
@@ -392,19 +480,37 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.recompute_rates();
             }
             self.dirty = false;
+            self.finish_valid = false;
         }
+    }
+
+    /// Projects every flow's finish instant at the current rates, once
+    /// per clock and rate state, and returns the earliest (infinite when
+    /// no flow is in flight).
+    fn project_finishes(&mut self) -> f64 {
+        self.ensure_rates();
+        if !self.finish_valid {
+            let now = self.now_ns;
+            self.scratch_finish.clear();
+            self.scratch_finish.extend(
+                self.flows
+                    .iter()
+                    .map(|f| now + (f.remaining_bytes / f.rate) * 1e9),
+            );
+            self.next_finish = self
+                .scratch_finish
+                .iter()
+                .fold(f64::INFINITY, |a, &t| a.min(t));
+            self.finish_valid = true;
+        }
+        self.next_finish
     }
 
     /// The simulated instant (nanoseconds) the earliest active flow
     /// finishes at current rates, or `None` when no flow is in flight.
     pub fn next_finish_ns(&mut self) -> Option<f64> {
-        self.ensure_rates();
-        self.flows
-            .iter()
-            .map(|f| self.now_ns + (f.remaining_bytes / f.rate) * 1e9)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            })
+        let next = self.project_finishes();
+        (!self.flows.is_empty()).then_some(next)
     }
 
     /// Drains `dt_secs` of fluid at current rates and emits one
@@ -413,16 +519,17 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         if dt_secs <= 0.0 {
             return;
         }
+        self.finish_valid = false;
         if R::ENABLED {
             let n_slots = self.capacity.len();
-            self.scratch_rate.clear();
-            self.scratch_rate.resize(n_slots, 0.0);
+            self.scratch_slot_rate.clear();
+            self.scratch_slot_rate.resize(n_slots, 0.0);
             for flow in &self.flows {
                 for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                    self.scratch_rate[s as usize] += flow.rate;
+                    self.scratch_slot_rate[s as usize] += flow.rate;
                 }
             }
-            for (s, &rate) in self.scratch_rate.iter().enumerate() {
+            for (s, &rate) in self.scratch_slot_rate.iter().enumerate() {
                 if rate > 0.0 {
                     self.recorder.on_tx_busy(
                         self.slot_tx[s],
@@ -460,13 +567,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             if self.guard_active && self.guard_stop().is_some() {
                 return;
             }
-            self.ensure_rates();
-            let next = self
-                .flows
-                .iter()
-                .map(|f| (f.remaining_bytes / f.rate) * 1e9)
-                .fold(f64::INFINITY, f64::min);
-            let next_ns = self.now_ns + next;
+            let next_ns = self.project_finishes();
             if self.flows.is_empty() || next_ns > target_ns {
                 let dt = (target_ns - self.now_ns) / 1e9;
                 let from = self.now_ns;
@@ -484,14 +585,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             } else {
                 next_ns
             };
-            if windowed {
-                self.scratch_finish.clear();
-                self.scratch_finish.extend(
-                    self.flows
-                        .iter()
-                        .map(|f| self.now_ns + (f.remaining_bytes / f.rate) * 1e9),
-                );
-            }
             let dt = (stop_ns - self.now_ns) / 1e9;
             let from = self.now_ns;
             self.drain(dt, from, stop_ns);
@@ -508,10 +601,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                             at
                         },
                     });
-                    self.flows.swap_remove(i);
-                    if windowed {
-                        self.scratch_finish.swap_remove(i);
+                    let done = self.flows.swap_remove(i);
+                    for &s in &self.slot_arena[Self::flow_slots(&done)] {
+                        self.slot_flows[s as usize] -= 1;
                     }
+                    self.scratch_finish.swap_remove(i);
                     self.dirty = true;
                 } else {
                     i += 1;
